@@ -6,7 +6,9 @@
 //! `ooc.*` in forest-decomp, `versioned.publish` in the service path) in
 //! a single chrome-trace JSON. A recorder-disabled run of the identical
 //! pipeline is asserted byte-identical first: the trace is free evidence,
-//! never an input.
+//! never an input. Last, the disabled-path bound: the per-site cost of a
+//! recorder-off `Span::enter`, times the span sites one batch run visits,
+//! must stay below 3% of that batch run's wall clock.
 //!
 //! Usage: `obs_smoke [trace-output.json]` (default `obs_trace.json`).
 //! Exits non-zero on any violated contract; prints a one-line summary per
@@ -17,10 +19,13 @@ use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, ProblemKind};
 use forest_graph::extsort::{
     build_csr_from_edge_file, write_binary_edge_file, EdgeListFormat, ExtsortConfig,
 };
-use forest_graph::generators;
+use forest_graph::{generators, MultiGraph};
+use forest_obs::clock::Stopwatch;
 use forest_obs::export::{chrome_trace_json, prometheus_text, validate_trace};
-use forest_obs::{recorder, Registry, TraceEvent};
+use forest_obs::{recorder, Phase, Registry, Span, TraceEvent};
 use forest_serve::{GraphSource, Request, Response, ServerState};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// One full pipeline pass: build the CSR from the edge file, decompose it
 /// out of core, and return the canonical report bytes.
@@ -95,6 +100,80 @@ fn drive_server() {
         assert_eq!(name, name2, "metric names must be stable");
         assert!(now >= then, "{name} went backwards: {then} -> {now}");
     }
+}
+
+/// The 64-graph batch the disabled-path bound is measured on: planted
+/// multigraphs, n in 48..96, α 3.
+fn batch_workload() -> Vec<MultiGraph> {
+    let mut rng = StdRng::seed_from_u64(8);
+    (0..64)
+        .map(|i| generators::planted_forest_union(48 + (i % 7) * 8, 3, &mut rng))
+        .collect()
+}
+
+fn median_ms<F: FnMut()>(samples: usize, mut run: F) -> f64 {
+    let mut times: Vec<f64> = (0..samples)
+        .map(|_| {
+            let start = Stopwatch::start();
+            run();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// Asserts that span sites cost under 3% of a batch run while the recorder
+/// is off: the microbenched cost of a recorder-off `Span::enter`,
+/// multiplied by the span sites one instrumented batch run visits, over
+/// the recorder-off batch wall clock.
+fn disabled_path_bound() {
+    let graphs = batch_workload();
+    let decomposer = Decomposer::new(
+        DecompositionRequest::new(ProblemKind::Forest)
+            .with_engine(Engine::HarrisSuVu)
+            .with_epsilon(0.5)
+            .with_alpha(3)
+            .with_seed(9)
+            .without_validation(),
+    );
+    let run_batch = || {
+        for g in &graphs {
+            decomposer.run(g).unwrap();
+        }
+    };
+    // Span sites one instrumented batch run visits (Begin + Instant
+    // events are each one `Span::enter`/`event` call).
+    recorder().clear();
+    recorder().enable();
+    run_batch();
+    recorder().disable();
+    let batch_span_sites = recorder()
+        .drain()
+        .iter()
+        .filter(|e| !matches!(e.phase, Phase::End))
+        .count();
+    let batch_disabled_ms = median_ms(5, run_batch);
+
+    // `black_box` keeps the guard from being optimized to nothing; the
+    // probe span name never records because the recorder is off.
+    let probe_iters = 4_000_000u64;
+    let probe = Stopwatch::start();
+    for _ in 0..probe_iters {
+        let _ = std::hint::black_box(Span::enter("obs.disabled_probe"));
+    }
+    let ns_per_disabled_span = probe.elapsed_nanos() as f64 / probe_iters as f64;
+    let disabled_bound_pct =
+        batch_span_sites as f64 * ns_per_disabled_span / (batch_disabled_ms * 1e6) * 100.0;
+    assert!(
+        disabled_bound_pct < 3.0,
+        "disabled-path bound {disabled_bound_pct:.4}% breaches the 3% criterion \
+         ({batch_span_sites} sites x {ns_per_disabled_span:.2} ns over {batch_disabled_ms:.1} ms)"
+    );
+    eprintln!(
+        "obs_smoke: disabled-path bound {disabled_bound_pct:.4}% < 3% \
+         ({batch_span_sites} sites x {ns_per_disabled_span:.2} ns over {batch_disabled_ms:.1} ms)"
+    );
 }
 
 fn main() {
@@ -175,6 +254,8 @@ fn main() {
     for line in text.lines().take(12) {
         eprintln!("obs_smoke: {line}");
     }
+
+    disabled_path_bound();
     println!(
         "obs_smoke: ok ({} events, {} metrics)",
         events.len(),

@@ -1,4 +1,4 @@
-//! Shared harness for the experiment binaries and Criterion benches.
+//! Shared harness for the experiment binaries.
 //!
 //! Every table and figure of the paper has a regeneration binary under
 //! `src/bin/` (see `DESIGN.md` for the experiment index and `EXPERIMENTS.md`

@@ -232,8 +232,8 @@ pub struct DynamicStats {
 
 impl DynamicStats {
     /// Updates that fell off the fast path (exchange, budget raise or
-    /// compaction) as a fraction of all updates — the "rebuild fallback
-    /// rate" tracked by `BENCH_pr5.json`.
+    /// compaction) as a fraction of all updates — the rate `forest-bench`
+    /// reports as `dynamic.fallback_rate`.
     pub fn fallback_rate(&self) -> f64 {
         if self.updates == 0 {
             return 0.0;

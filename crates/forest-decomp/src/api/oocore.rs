@@ -108,7 +108,8 @@ impl OocConfig {
 }
 
 /// What one out-of-core run measured: the budget accounting plus per-phase
-/// wall clock, the numbers `BENCH_pr8.json` records.
+/// wall clock, the numbers `forest-bench`'s `ingest` workload reports as
+/// `ooc.*`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OocStats {
     /// Shards the run walked.

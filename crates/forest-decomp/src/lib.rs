@@ -136,7 +136,7 @@ pub use api::{
 };
 
 pub use algorithm2::{
-    algorithm2, Algorithm2Config, Algorithm2Output, CutStrategyKind, PipelineStats, PowerLayerDelta,
+    algorithm2, Algorithm2Config, Algorithm2Output, CutStrategyKind, PipelineStats,
 };
 pub use augmenting::{AugmentationContext, AugmentingSequence, ColorConnectivity};
 pub use combine::{FdOptions, FdResult, LfdResult};

@@ -98,25 +98,6 @@ pub fn network_decomposition<G: GraphView>(
     g: &G,
     ledger: &mut RoundLedger,
 ) -> NetworkDecomposition {
-    network_decomposition_with_probe(g, ledger, |_| {})
-}
-
-/// [`network_decomposition`] with a per-class observation hook: `probe` is
-/// called with the class index after each class finishes carving.
-///
-/// The carving loop issues every adjacency query against the *same* `g`, so
-/// when `g` is a [`PowerView`](crate::PowerView) one ball cache serves all
-/// classes — balls expanded while carving class `k` are answered from the
-/// cache when later classes revisit deferred vertices. The probe lets the
-/// caller snapshot such per-layer counters (e.g. the view's hit/expansion
-/// stats) without this function knowing anything beyond [`GraphView`]; it
-/// observes only — the decomposition, ledger charges and iteration order
-/// are identical to [`network_decomposition`].
-pub fn network_decomposition_with_probe<G: GraphView, F: FnMut(usize)>(
-    g: &G,
-    ledger: &mut RoundLedger,
-    mut probe: F,
-) -> NetworkDecomposition {
     let n = g.num_vertices();
     ledger.charge("network decomposition", costs::network_decomposition(n, 1));
     let mut class_of = vec![usize::MAX; n];
@@ -198,7 +179,6 @@ pub fn network_decomposition_with_probe<G: GraphView, F: FnMut(usize)>(
             clusters.push(members);
             cluster_class.push(class);
         }
-        probe(class);
         class += 1;
         // Safety net: the construction always makes progress, but guard
         // against pathological loops anyway.

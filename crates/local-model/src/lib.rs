@@ -43,12 +43,10 @@ pub mod views;
 
 pub use cole_vishkin::{cole_vishkin_three_coloring, RootedForestView, TreeColoring};
 pub use decomposition::{
-    network_decomposition, network_decomposition_with_probe, partial_network_decomposition,
-    NetworkDecomposition, PartialNetworkDecomposition,
+    network_decomposition, partial_network_decomposition, NetworkDecomposition,
+    PartialNetworkDecomposition,
 };
 pub use lll::{solve_lll, BadEvent, LllInstance, LllOutcome};
 pub use network::{NodeInfo, SyncNetwork};
 pub use rounds::{RoundCharge, RoundLedger};
-pub use views::{
-    collect_view, power_graph, NeighborhoodView, PowerIncidences, PowerView, PowerViewStats,
-};
+pub use views::{collect_view, power_graph, NeighborhoodView, PowerIncidences, PowerView};

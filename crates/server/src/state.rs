@@ -10,7 +10,8 @@
 //! registry read-lock (uncontended once tenants are registered) plus a
 //! lock-free snapshot clone: queries never touch the writer mutex, so
 //! readers never block on a concurrent update batch — the property the
-//! concurrent-reader test and the `BENCH_pr6.json` service rows pin down.
+//! concurrent-reader test pins down and `forest-bench`'s `serve` workload
+//! measures (`serve.query_us` beside `serve.update_us`).
 
 use crate::protocol::{ErrorCode, GraphSource, Request, Response, WireError, WireStats};
 use forest_decomp::api::versioned::{ColoringSnapshot, SnapshotReader, VersionedDecomposer};

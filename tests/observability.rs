@@ -9,10 +9,17 @@
 //!
 //! The recorder is process-global, so every case serializes on a lock and
 //! restores the disabled/empty state before releasing it.
+//!
+//! One more test pins the registry metric and span names the benchmark
+//! reads by string.
 
-use forest_decomp::api::{Decomposer, DecompositionRequest, Engine, ProblemKind};
-use forest_graph::{generators, MultiGraph};
-use forest_obs::{event, recorder, Span};
+use forest_decomp::algorithm2::{algorithm2, Algorithm2Config};
+use forest_decomp::api::{
+    Decomposer, DecompositionRequest, EdgeUpdate, Engine, ProblemKind, VersionedDecomposer,
+};
+use forest_graph::{generators, ListAssignment, MultiGraph, VertexId};
+use forest_obs::metrics::MetricDetail;
+use forest_obs::{event, recorder, Registry, Span};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -131,4 +138,87 @@ proptest! {
         );
         prop_assert_eq!(&before, &after);
     }
+}
+
+/// Current value of a registry counter (0 before first use).
+fn counter(name: &str) -> u64 {
+    Registry::global().value_of(name).unwrap_or(0)
+}
+
+/// Observation count of a registry histogram (0 before first use).
+fn histogram_count(name: &str) -> u64 {
+    Registry::global()
+        .snapshot()
+        .into_iter()
+        .find(|m| m.name == name)
+        .and_then(|m| match m.detail {
+            MetricDetail::Histogram(h) => Some(h.count),
+            _ => None,
+        })
+        .unwrap_or(0)
+}
+
+/// The benchmark harness reads these registry metrics and spans by name
+/// and treats a missing one as 0, so a rename would go unnoticed there.
+/// A forced-radii HSV run (the only way into the `PowerView` expansion
+/// counter) plus a versioned update batch must move every one of them.
+#[test]
+fn benchmark_metric_and_span_names_are_emitted() {
+    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    recorder().disable();
+    recorder().clear();
+
+    let g = generators::fat_path(300, 2);
+    let clusters = counter("algo2.clusters_total");
+    let expansions = counter("algo2.ball_expansions_total");
+    let peel_rounds = counter("hpartition.peel_rounds_total");
+    let batches = histogram_count("dynamic.batch_nanos");
+
+    recorder().enable();
+    Decomposer::new(
+        DecompositionRequest::new(ProblemKind::Forest)
+            .with_engine(Engine::HarrisSuVu)
+            .with_epsilon(0.5)
+            .with_alpha(2)
+            .with_radii(8, 4)
+            .with_seed(9),
+    )
+    .run(&g)
+    .expect("forced-radii HSV run");
+    let mut versioned = VersionedDecomposer::from_graph(
+        DecompositionRequest::new(ProblemKind::Forest).with_engine(Engine::ExactMatroid),
+        &generators::path(16),
+    )
+    .expect("versioned decomposer");
+    versioned
+        .apply_batch(&[EdgeUpdate::insert(VertexId::new(0), VertexId::new(2))])
+        .expect("update batch");
+    versioned.publish();
+    recorder().disable();
+    let events = recorder().drain();
+
+    assert!(counter("algo2.clusters_total") > clusters);
+    assert!(counter("algo2.ball_expansions_total") > expansions);
+    assert!(counter("hpartition.peel_rounds_total") > peel_rounds);
+    assert!(histogram_count("dynamic.batch_nanos") > batches);
+    for span in ["algo2.cluster_loop", "hpartition.peel", "versioned.publish"] {
+        assert!(
+            events.iter().any(|e| e.name == span),
+            "span {span:?} missing from the trace"
+        );
+    }
+
+    // Every test of this binary runs its decompositions under the lock, so
+    // the expansion counter moves by exactly this run's expansions.
+    let lists = ListAssignment::uniform(g.num_edges(), 3);
+    let config = Algorithm2Config::new(0.5, 2).with_radii(8, 4);
+    let before = counter("algo2.ball_expansions_total");
+    let out =
+        algorithm2(&g, &lists, &config, &mut StdRng::seed_from_u64(9)).expect("algorithm2 run");
+    let stats = &out.pipeline_stats;
+    assert!(stats.power_ball_expansions > 0);
+    assert_eq!(
+        counter("algo2.ball_expansions_total") - before,
+        stats.power_ball_expansions
+    );
 }
