@@ -87,9 +87,9 @@ pub struct ShardOutcome {
     pub decomposition: ForestDecomposition,
     /// Per-color union-finds over the shard's *local* vertices, exactly
     /// covering [`ShardOutcome::decomposition`]. Built while the shard's
-    /// arrays are cache-hot; the stitcher queries these through component
-    /// representatives instead of re-unioning every internal edge into
-    /// whole-graph structures.
+    /// arrays are cache-hot; the boundary stitch reads only the roots of the
+    /// shard's boundary endpoints from them, so no internal edge is ever
+    /// re-unioned into whole-graph structures.
     pub connectivity: ColorConnectivity,
     /// The arboricity bound the shard run was based on.
     pub arboricity: usize,

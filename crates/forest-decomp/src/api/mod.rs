@@ -44,10 +44,9 @@
 //! (no per-shard thaw), and stitching the boundary through single-step
 //! augmentations plus a color-reusing residue recoloring (optionally
 //! finished by the [`StitchPolicy::ExactAlpha`] exchange pass, which closes
-//! the `α + 1` gap on capacity-tight workloads). Repeated sharded
-//! runs amortize the split through [`ShardedGraph`] and
-//! [`Decomposer::run_sharded_prepared`], exactly like [`FrozenGraph`]
-//! amortizes freezing.
+//! the `α + 1` gap on capacity-tight workloads). [`Decomposer::run_out_of_core`]
+//! walks the same shards one at a time from an on-disk CSR file; both
+//! drivers share one boundary stitch, so their reports are byte-identical.
 //!
 //! # Streams: the [`DynamicDecomposer`]
 //!
@@ -83,6 +82,7 @@ mod input;
 pub mod oocore;
 mod report;
 mod request;
+mod stitch;
 pub mod versioned;
 
 pub use dynamic::{
@@ -100,15 +100,13 @@ pub use versioned::{ArboricityWatermark, ColoringSnapshot, SnapshotReader, Versi
 pub use forest_graph::ReorderKind;
 
 use crate::error::FdError;
-use forest_graph::decomposition::max_forest_diameter;
-use forest_graph::{
-    CsrGraph, CsrPartition, CsrRef, GraphView, ListAssignment, MultiGraph, OwnedCsr,
-};
+use forest_graph::{CsrGraph, CsrPartition, CsrRef, GraphView, ListAssignment, MultiGraph};
 use forest_obs::{clock::Stopwatch, LazyCounter, LazyHistogram, Span};
 use local_model::RoundLedger;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use stitch::Stitch;
 
 /// Facade-level run accounting in the `forest-obs` registry.
 static FACADE_RUNS: LazyCounter = LazyCounter::new("facade.runs_total");
@@ -118,10 +116,10 @@ static FACADE_RUN_NANOS: LazyHistogram = LazyHistogram::new("facade.run_nanos");
 /// its [`CsrGraph`] view, built once and reusable across any number of runs.
 ///
 /// [`Decomposer::run`] freezes internally, so one-off callers never see this
-/// type; freeze explicitly (and use [`Decomposer::run_frozen`] /
-/// [`Decomposer::run_batch_shared`]) when the same graph is decomposed more
-/// than once — repeated requests, seed sweeps, engine comparisons — to pay
-/// the `O(n + m)` conversion a single time.
+/// type; freeze explicitly (and pass `&frozen` to [`Decomposer::run`] or
+/// [`Decomposer::run_sharded`]) when the same graph is decomposed more than
+/// once — repeated requests, engine comparisons — to pay the `O(n + m)`
+/// conversion a single time.
 #[derive(Clone, Debug)]
 pub struct FrozenGraph {
     graph: MultiGraph,
@@ -155,160 +153,6 @@ impl From<MultiGraph> for FrozenGraph {
     fn from(graph: MultiGraph) -> Self {
         FrozenGraph::freeze(graph)
     }
-}
-
-/// A graph split once for repeated sharded decomposition: the
-/// [`CsrPartition`] analog of [`FrozenGraph`].
-///
-/// [`Decomposer::run_sharded`] splits internally, so one-off callers never
-/// see this type; split explicitly (and use
-/// [`Decomposer::run_sharded_prepared`]) when the same graph is decomposed
-/// more than once — repeated requests, seed sweeps, engine comparisons — to
-/// pay the `O(n + m)` split (and the optional BFS/RCM reordering pass) a
-/// single time, exactly like freezing amortizes the CSR conversion.
-#[derive(Clone, Debug)]
-pub struct ShardedGraph {
-    csr: OwnedCsr,
-    partition: CsrPartition,
-    reorder: ReorderKind,
-}
-
-impl ShardedGraph {
-    /// Splits `input` into `num_shards` zero-copy shards along
-    /// `spec.reorder` (one `O(n + m)` pass plus the order computation).
-    /// Only the reorder half of the spec matters here: the
-    /// [`StitchPolicy`] never affects how the graph is cut and is read
-    /// from the *request* at run time
-    /// ([`Decomposer::run_sharded_prepared`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FdError::InvalidShardCount`] for `num_shards == 0`.
-    pub fn split<'a>(
-        input: impl Into<GraphInput<'a>>,
-        num_shards: usize,
-        spec: ShardingSpec,
-    ) -> Result<ShardedGraph, FdError> {
-        if num_shards == 0 {
-            return Err(FdError::InvalidShardCount { requested: 0 });
-        }
-        let input = input.into();
-        let mut scratch = None;
-        let frozen = input.resolve(&mut scratch);
-        let csr = frozen.csr.to_owned_storage();
-        let partition = match spec.reorder.order(&csr) {
-            None => CsrPartition::split(&csr, num_shards),
-            Some(perm) => CsrPartition::split_ordered(&csr, num_shards, &perm),
-        };
-        Ok(ShardedGraph {
-            csr,
-            partition,
-            reorder: spec.reorder,
-        })
-    }
-
-    /// The frozen full-graph topology the shards were cut from.
-    pub fn csr(&self) -> &OwnedCsr {
-        &self.csr
-    }
-
-    /// The partition: per-shard zero-copy views plus the boundary list.
-    pub fn partition(&self) -> &CsrPartition {
-        &self.partition
-    }
-
-    /// The locality order the split was cut along.
-    pub fn reorder(&self) -> ReorderKind {
-        self.reorder
-    }
-
-    /// Number of shards (after the splitter's documented clamp).
-    pub fn num_shards(&self) -> usize {
-        self.partition.num_shards()
-    }
-}
-
-/// BFS pop bound per overflow-edge exchange in the exact-α stitch: the pass
-/// is *bounded* — an exchange that trips the bound leaves its edge on the
-/// overflow color instead of stalling the stitch.
-const EXACT_STITCH_POP_LIMIT: usize = 4096;
-
-/// The [`StitchPolicy::ExactAlpha`] finishing pass: move every edge colored
-/// outside `0..target` back inside the budget through bounded augmenting
-/// exchanges, with per-color connectivity riding on the dynamic subsystem
-/// ([`DynamicColorConnectivity`](forest_graph::DynamicColorConnectivity))
-/// so each recoloring is a cut-and-link edit instead of a cache rebuild.
-/// Edges whose exchange fails (a genuinely denser-than-`target` residue, or
-/// the pop bound) keep their overflow color — the pass improves, never
-/// breaks.
-fn exact_alpha_stitch(
-    csr: &CsrRef<'_>,
-    colors: &mut [forest_graph::Color],
-    target: usize,
-    ledger: &mut RoundLedger,
-) {
-    let overflow: Vec<forest_graph::EdgeId> = colors
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.index() >= target)
-        .map(|(i, _)| forest_graph::EdgeId::new(i))
-        .collect();
-    let total = overflow.len();
-    let (mut moved, mut stuck) = (0usize, 0usize);
-    if total > 0 && target > 0 {
-        let mut coloring = forest_graph::decomposition::PartialEdgeColoring::from_colors(
-            colors.iter().map(|&c| Some(c)).collect(),
-        );
-        let mut conn = forest_graph::DynamicColorConnectivity::from_coloring(csr, &coloring, None);
-        for e in overflow {
-            let (u, v) = csr.endpoints(e);
-            let old = coloring.color(e).expect("stitched colorings are complete");
-            coloring.clear(e);
-            conn.remove(e);
-            // The cheap query first; the bounded exchange only when every
-            // in-budget forest already connects the endpoints.
-            if let Some(c) = conn.first_free_color(target, u, v) {
-                coloring.set(e, c);
-                conn.insert(e, c, u, v);
-                moved += 1;
-                continue;
-            }
-            match forest_graph::matroid::try_augment_traced(
-                csr,
-                &mut coloring,
-                e,
-                target,
-                EXACT_STITCH_POP_LIMIT,
-            ) {
-                Some(steps) => {
-                    for (f, _, new) in steps {
-                        let (fu, fv) = csr.endpoints(f);
-                        conn.recolor(f, new, fu, fv);
-                    }
-                    moved += 1;
-                }
-                None => {
-                    coloring.set(e, old);
-                    conn.insert(e, old, u, v);
-                    stuck += 1;
-                }
-            }
-        }
-        for (i, c) in colors.iter_mut().enumerate() {
-            *c = coloring
-                .color(forest_graph::EdgeId::new(i))
-                .expect("exchanges keep the coloring complete");
-        }
-    }
-    // Always charged, so the pass is observable even when the greedy stitch
-    // already landed inside the budget.
-    ledger.charge(
-        format!(
-            "exact-alpha stitch: {moved} of {total} overflow edges exchanged into the \
-             alpha={target} budget ({stuck} kept an overflow color)"
-        ),
-        moved,
-    );
 }
 
 /// Derives the seed used for graph `index` of a batch run with base seed
@@ -369,18 +213,6 @@ impl Decomposer {
         self.run_seeded(input.resolve(&mut scratch), self.request.seed)
     }
 
-    /// Runs the request on an already-frozen graph (no per-run conversion).
-    ///
-    /// Byte-identical to [`Decomposer::run`] on the underlying multigraph:
-    /// freezing is a representation change, not an algorithmic one.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Decomposer::run`].
-    pub fn run_frozen(&self, g: &FrozenGraph) -> Result<DecompositionReport, FdError> {
-        self.run_seeded(g.input(), self.request.seed)
-    }
-
     /// Runs the request across many graphs in parallel (one rayon task per
     /// graph), graph `i` using [`derive_seed`]`(request.seed, i)`. Results
     /// come back in input order; per-graph failures do not abort the batch.
@@ -403,41 +235,6 @@ impl Decomposer {
             .collect()
     }
 
-    /// [`Decomposer::run_batch`] over pre-frozen graphs: no conversions at
-    /// all on the hot path.
-    pub fn run_batch_frozen(
-        &self,
-        graphs: &[FrozenGraph],
-    ) -> Vec<Result<DecompositionReport, FdError>> {
-        let indexed: Vec<(u64, &FrozenGraph)> = graphs
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (i as u64, g))
-            .collect();
-        indexed
-            .par_iter()
-            .map(|(i, g)| self.run_seeded(g.input(), derive_seed(self.request.seed, *i)))
-            .collect()
-    }
-
-    /// Fans `runs` executions of the request across all cores, **sharing one
-    /// frozen topology**: run `i` uses [`derive_seed`]`(request.seed, i)`.
-    /// This is the seed-sweep / same-graph batch shape — the topology is
-    /// frozen once for the whole sweep.
-    pub fn run_batch_shared(
-        &self,
-        g: &FrozenGraph,
-        runs: usize,
-    ) -> Vec<Result<DecompositionReport, FdError>> {
-        let seeds: Vec<u64> = (0..runs as u64)
-            .map(|i| derive_seed(self.request.seed, i))
-            .collect();
-        seeds
-            .par_iter()
-            .map(|&seed| self.run_seeded(g.input(), seed))
-            .collect()
-    }
-
     /// Decomposes one *large* graph by sharding it: splits the frozen
     /// topology into `num_shards` zero-copy shards
     /// ([`CsrPartition`](forest_graph::CsrPartition)) — along a
@@ -449,15 +246,11 @@ impl Decomposer {
     /// never touch), and stitches the explicit boundary-edge list — the
     /// paper's compose-per-part-partitions-plus-leftover shape.
     ///
-    /// Stitching is two phases. Phase 1 is the augmenting search's
-    /// single-step fast path (the shared per-color union-find cache): each
-    /// boundary edge joins the first existing forest that keeps its
-    /// endpoints apart — linear, and almost always successful because
-    /// per-shard forests of different shards start out disconnected. Phase 2
-    /// rebuilds the connectivity cache and recolors the residue by the same
-    /// first-free-forest rule over *all* colors allocated so far — existing
-    /// shard colors are retried before a fresh color is opened, and every
-    /// fresh color is reused for later residue edges — so the stitch opens
+    /// The boundary is stitched by the same rule as
+    /// [`Decomposer::run_out_of_core`]: each boundary edge joins the first
+    /// existing forest that keeps its endpoints apart, and the residue is
+    /// recolored over every color opened so far, opening a fresh color only
+    /// when every existing forest connects its endpoints — so the stitch opens
     /// only as many colors beyond the shard budget as the residue's own
     /// density forces (Theorem 4.6-style: the leftover is sparse, so few).
     ///
@@ -490,38 +283,14 @@ impl Decomposer {
         input: impl Into<GraphInput<'a>>,
         num_shards: usize,
     ) -> Result<DecompositionReport, FdError> {
-        if self.request.problem != ProblemKind::Forest {
-            return Err(FdError::ShardingUnsupported {
-                problem: self.request.problem,
-            });
-        }
-        let sharded = ShardedGraph::split(input, num_shards, self.request.sharding)?;
-        self.run_sharded_prepared(&sharded)
-    }
-
-    /// [`Decomposer::run_sharded`] over a pre-split graph: no split, no
-    /// reordering pass, no conversions at all on the hot path — the sharded
-    /// analog of [`Decomposer::run_frozen`]. The [`ShardedGraph`]'s own
-    /// split (shard count and reorder) is what runs — the request's
-    /// `reorder` only applies when `run_sharded` splits internally — while
-    /// the [`StitchPolicy`] is a run-time knob that always comes from the
-    /// request (it does not affect how the graph was cut).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Decomposer::run_sharded`], minus the shard-count check the
-    /// split already performed.
-    pub fn run_sharded_prepared(
-        &self,
-        sharded: &ShardedGraph,
-    ) -> Result<DecompositionReport, FdError> {
-        let _span = Span::enter("decomp.run_sharded");
-        let start = Stopwatch::start();
         let request = &self.request;
         if request.problem != ProblemKind::Forest {
             return Err(FdError::ShardingUnsupported {
                 problem: request.problem,
             });
+        }
+        if num_shards == 0 {
+            return Err(FdError::InvalidShardCount { requested: 0 });
         }
         let engine = engines::engine_for(request.engine);
         if !engine.supports(request.problem) {
@@ -530,9 +299,15 @@ impl Decomposer {
                 engine: request.engine,
             });
         }
-        let csr = &sharded.csr.view();
-        let m = csr.num_edges();
-        let partition = &sharded.partition;
+        let input = input.into();
+        let mut scratch = None;
+        let csr = &input.resolve(&mut scratch).csr;
+        let partition = match request.sharding.reorder.order(csr) {
+            None => CsrPartition::split(csr, num_shards),
+            Some(perm) => CsrPartition::split_ordered(csr, num_shards, &perm),
+        };
+        let _span = Span::enter("decomp.run_sharded");
+        let start = Stopwatch::start();
         let k = partition.num_shards();
         // Decompose every shard in parallel over zero-copy views — no thaw,
         // no adjacency twin; results come back in shard order, so the merge
@@ -545,188 +320,52 @@ impl Decomposer {
                 engine.decompose_shard(partition.shard(s), request, &mut rng)
             })
             .collect();
+        let per_shard = per_shard.into_iter().collect::<Result<Vec<_>, _>>()?;
         // Merge: shards are vertex-disjoint, so reusing the same color space
-        // across shards keeps every class a forest. Colors land straight in
-        // the final per-edge array (every edge is written exactly once: the
-        // partition covers internal edges shard-by-shard, the stitch covers
-        // the boundary). Connectivity is two-level: each shard hands back
-        // per-color union-finds over its *local* vertices (built while the
-        // shard was cache-hot), and the stitch works over component
-        // representatives — two vertices are connected in color `c` iff the
-        // stitch forest joins the representatives of their shard-local
-        // components — so no whole-graph union pass ever runs here.
-        let per_shard = per_shard
-            .into_iter()
-            .collect::<Result<Vec<ShardOutcome>, FdError>>()?;
-        let boundary = partition.boundary_edges().len();
-        // The stitch budget must span every color *index* any shard used —
-        // HSV colorings leave index gaps, so this is the max color span,
-        // not a distinct-color count (gap colors are legal, empty forests).
-        let budget = per_shard.iter().map(|o| o.color_span).max().unwrap_or(0);
-        let mut colors = vec![forest_graph::Color::new(0); m];
-        let mut written = 0usize;
+        // across shards keeps every class a forest. The partition covers
+        // internal edges shard by shard and the stitch covers the boundary,
+        // so every edge is written exactly once.
+        let boundary = partition.boundary_edges();
+        debug_assert_eq!(
+            partition.num_internal_edges() + boundary.len(),
+            csr.num_edges(),
+            "every edge colored exactly once"
+        );
+        let mut stitch = Stitch::new(csr, boundary, k, |v| partition.shard_of(v));
+        let mut colors = vec![forest_graph::Color::new(0); csr.num_edges()];
         let mut ledger = RoundLedger::new();
         let mut arboricity = 0usize;
-        // Only edges that actually go through a leftover/recoloring phase
-        // count: per-shard leftovers now, the phase-2 stitch residue below.
         let mut leftover_edges = 0usize;
-        let mut shard_conns = Vec::with_capacity(per_shard.len());
-        for (s, outcome) in per_shard.into_iter().enumerate() {
-            let fd = outcome.decomposition;
-            for (&global, &color) in partition.global_edges(s).iter().zip(fd.colors()) {
+        for (s, mut outcome) in per_shard.into_iter().enumerate() {
+            for (&global, &color) in partition
+                .global_edges(s)
+                .iter()
+                .zip(outcome.decomposition.colors())
+            {
                 colors[global as usize] = color;
-                written += 1;
             }
-            shard_conns.push(outcome.connectivity);
+            stitch.absorb_shard(s, &mut outcome.connectivity, outcome.color_span, |v| {
+                partition.local_vertex(v)
+            });
             arboricity = arboricity.max(outcome.arboricity);
             leftover_edges += outcome.leftover_edges;
             ledger.absorb(&format!("shard {s}"), outcome.ledger);
         }
-        if boundary > 0 {
-            let mut stitch = forest_graph::ColorConnectivity::new(csr.num_vertices());
-            stitch.prime(budget);
-            // The representative of `v`'s component in its shard's color-`c`
-            // forest, as a global vertex id (fresh stitch colors have no
-            // shard edges, so `v` represents itself).
-            let rep = |shard_conns: &mut [forest_graph::ColorConnectivity],
-                       c: usize,
-                       v: forest_graph::VertexId| {
-                if c >= budget {
-                    return v;
-                }
-                let s = partition.shard_of(v);
-                match shard_conns[s].cached_forest(forest_graph::Color::new(c)) {
-                    Some(uf) => {
-                        let root = uf.find(partition.local_vertex(v).index());
-                        partition.global_vertex(s, forest_graph::VertexId::new(root))
-                    }
-                    // A shard that used fewer colors than the budget has no
-                    // forest for `c`: every vertex is its own component.
-                    None => v,
-                }
-            };
-            // Phase 1: single-step augmentations into the existing shard
-            // forests, queried through component representatives.
-            let mut stitched_fast = 0usize;
-            let mut remaining: Vec<forest_graph::EdgeId> = Vec::new();
-            let place = |shard_conns: &mut [forest_graph::ColorConnectivity],
-                         stitch: &mut forest_graph::ColorConnectivity,
-                         e: forest_graph::EdgeId,
-                         total: usize|
-             -> Option<forest_graph::Color> {
-                let (u, v) = csr.endpoints(e);
-                for c in 0..total {
-                    let gu = rep(shard_conns, c, u);
-                    let gv = rep(shard_conns, c, v);
-                    let uf = stitch
-                        .cached_forest(forest_graph::Color::new(c))
-                        .expect("stitch forests are primed");
-                    if gu != gv && !uf.connected(gu.index(), gv.index()) {
-                        uf.union(gu.index(), gv.index());
-                        return Some(forest_graph::Color::new(c));
-                    }
-                }
-                None
-            };
-            for &e in partition.boundary_edges() {
-                match place(&mut shard_conns, &mut stitch, e, budget) {
-                    Some(c) => {
-                        colors[e.index()] = c;
-                        written += 1;
-                        stitched_fast += 1;
-                    }
-                    None => remaining.push(e),
-                }
-            }
-            if stitched_fast > 0 {
-                ledger.charge(
-                    format!(
-                        "stitch {stitched_fast} of {boundary} boundary edges into existing \
-                         forests (single-step augmentations)"
-                    ),
-                    stitched_fast,
-                );
-            }
-            // Phase 2: the residue. Each residue edge retries every existing
-            // color — the shard budget first, then the stitch colors opened
-            // so far — and joins the first forest that keeps its endpoints
-            // apart, opening a fresh color only when every existing forest
-            // connects them. (The two-level connectivity is exact across
-            // both phases — shard forests are final and the stitch forests
-            // grow only through the placements above — which supersedes the
-            // bulk rebuild a lazily-built cache would need before this
-            // retry.) Reusing stitch colors across the residue keeps the
-            // sharded color count near the shard budget instead of paying a
-            // fresh star-forest palette per run.
-            if !remaining.is_empty() {
-                leftover_edges += remaining.len();
-                let mut total_colors = budget;
-                for &e in &remaining {
-                    let c = match place(&mut shard_conns, &mut stitch, e, total_colors) {
-                        Some(c) => c,
-                        None => {
-                            let fresh = forest_graph::Color::new(total_colors);
-                            total_colors += 1;
-                            stitch.prime(total_colors);
-                            let (u, v) = csr.endpoints(e);
-                            stitch
-                                .cached_forest(fresh)
-                                .expect("freshly primed")
-                                .union(u.index(), v.index());
-                            fresh
-                        }
-                    };
-                    colors[e.index()] = c;
-                    written += 1;
-                }
-                ledger.charge(
-                    format!(
-                        "stitch leftover ({} residue boundary edges recolored, {} fresh \
-                         colors beyond the shard budget)",
-                        remaining.len(),
-                        total_colors - budget
-                    ),
-                    remaining.len(),
-                );
-            }
+        let (boundary_colors, residue) = stitch.run(csr, boundary, &mut ledger);
+        for (&e, c) in boundary.iter().zip(boundary_colors) {
+            colors[e.index()] = c;
         }
-        debug_assert_eq!(written, m, "every edge colored exactly once");
-        // The per-shard maxima exclude boundary edges, so they can under-shoot
-        // the global arboricity (e.g. K4 split in two: each shard sees one
-        // edge). Report the caller's bound when given; otherwise at least the
-        // Nash-Williams whole-graph lower bound — still a lower bound on the
-        // true global alpha, which only an exact full-graph partition could
-        // pin down.
-        let arboricity = request
-            .alpha
-            .unwrap_or_else(|| arboricity.max(forest_graph::matroid::arboricity_lower_bound(csr)));
-        if request.sharding.stitch == StitchPolicy::ExactAlpha {
-            exact_alpha_stitch(csr, &mut colors, arboricity, &mut ledger);
-        }
-        let decomposition = forest_graph::ForestDecomposition::from_colors(colors);
-        let num_colors = decomposition.num_colors_used();
-        let max_diameter = max_forest_diameter(csr, &decomposition.to_partial());
-        let mut report = DecompositionReport {
-            problem: request.problem,
-            engine: request.engine,
-            seed: request.seed,
-            num_edges: m,
-            artifact: Artifact::Decomposition(decomposition),
-            lists: None,
+        let report = stitch::finish(
+            csr,
+            request,
+            colors,
             arboricity,
-            num_colors,
-            max_diameter,
-            leftover_edges,
+            leftover_edges + residue,
             ledger,
-            wall_clock: start.elapsed(),
-            validation: ValidationStatus::Skipped,
-        };
+            start,
+        )?;
         FACADE_RUNS.inc();
         FACADE_RUN_NANOS.observe(start.elapsed_nanos());
-        if request.validate {
-            report.validate(csr)?;
-            report.validation = ValidationStatus::Validated;
-        }
         Ok(report)
     }
 

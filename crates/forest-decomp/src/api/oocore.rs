@@ -15,16 +15,14 @@
 //! 2. **Walk.** Shards are decomposed *sequentially* through the same
 //!    thaw-free `decompose_shard` path `run_sharded` fans out in parallel:
 //!    one shard's CSR is extracted, decomposed, its coloring **spilled to
-//!    disk**, and — before everything is dropped — the per-color component
-//!    representatives of its *boundary* vertices are recorded (a few words
-//!    per boundary endpoint). Per-shard seeds, ledgers and outcomes are
-//!    identical to the in-memory run because the extracted shard bytes are.
-//! 3. **Stitch.** The boundary edges are stitched with the same two-phase
-//!    single-step-augmentation + residue-recoloring rule as `run_sharded`,
-//!    but over *sparse* union-finds keyed by the recorded representatives —
-//!    `O(boundary)` resident instead of `O(n · colors)`. Connectivity
-//!    answers are representation-independent, so the stitch places every
-//!    boundary edge on exactly the color the in-memory stitch picks.
+//!    disk**, and — before everything is dropped — its per-color components
+//!    are folded into the boundary stitch's key forests (a few bytes per
+//!    boundary endpoint and color). Per-shard seeds, ledgers and outcomes
+//!    are identical to the in-memory run because the extracted shard bytes
+//!    are.
+//! 3. **Stitch.** The boundary edges are colored by the stitch `run_sharded`
+//!    uses (`api/stitch.rs`), whose state is `O(boundary · colors)` rather
+//!    than `O(n · colors)`.
 //!
 //! The returned [`DecompositionReport`] is **byte-identical**
 //! ([`canonical_bytes`](DecompositionReport::canonical_bytes)) to
@@ -39,16 +37,14 @@
 //! headroom; mapped file pages are the kernel's to evict and are not heap).
 
 use super::engines::{self, ShardOutcome};
-use super::{derive_seed, Decomposer, DecompositionReport, StitchPolicy};
-use super::{Artifact, ProblemKind, Validate, ValidationStatus};
+use super::stitch::{self, Stitch};
+use super::{derive_seed, Decomposer, DecompositionReport, ProblemKind};
 use crate::error::FdError;
-use forest_graph::decomposition::max_forest_diameter;
-use forest_graph::{Color, CsrGraph, EdgeId, GraphView, ShardPlan, VertexId};
+use forest_graph::{Color, CsrGraph, EdgeId, GraphView, ShardPlan};
 use forest_obs::{clock::Stopwatch, LazyCounter, LazyGauge, Span};
 use local_model::RoundLedger;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -170,49 +166,6 @@ impl ResidentMeter {
     }
 }
 
-/// Union-find over a sparse set of `u32` keys: absent keys are their own
-/// roots. Connectivity answers match a dense `UnionFind` over the same
-/// unions, which is all the stitch observes — only boundary-endpoint
-/// representatives ever enter, so this is `O(touched)` instead of `O(n)`
-/// per color.
-#[derive(Default)]
-struct SparseUf {
-    parent: HashMap<u32, u32>,
-}
-
-impl SparseUf {
-    fn find(&mut self, x: u32) -> u32 {
-        let mut root = x;
-        while let Some(&p) = self.parent.get(&root) {
-            root = p;
-        }
-        // Path compression: point the chain straight at the root.
-        let mut cur = x;
-        while cur != root {
-            let next = self.parent[&cur];
-            self.parent.insert(cur, root);
-            cur = next;
-        }
-        root
-    }
-
-    fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent.insert(ra, rb);
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        // Entry + hash-table overhead, conservatively.
-        self.parent.len() * 48
-    }
-}
-
 /// Derives a shard count whose per-shard working set fits inside two fifths
 /// of the budget (the rest covers the plan, boundary state, spill buffers
 /// and engine scratch). Per-shard transients: the extracted CSR
@@ -314,20 +267,9 @@ impl Decomposer {
         let boundary = boundary_list.len();
         stats.boundary_edges = boundary;
         meter.alloc(boundary_list.len() * std::mem::size_of::<EdgeId>());
-        // Boundary endpoints grouped by owning shard: the vertices whose
-        // per-color representatives must be recorded before each shard's
-        // connectivity is dropped.
-        let mut boundary_verts: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for &e in &boundary_list {
-            let (u, v) = csr.endpoints(e);
-            boundary_verts[plan.shard_of(u)].push(u.raw());
-            boundary_verts[plan.shard_of(v)].push(v.raw());
-        }
-        for verts in &mut boundary_verts {
-            verts.sort_unstable();
-            verts.dedup();
-        }
-        meter.alloc(boundary_verts.iter().map(|v| 4 * v.len() + 32).sum());
+        let mut stitch = Stitch::new(&csr, &boundary_list, k, |v| plan.shard_of(v));
+        let mut stitch_bytes = stitch.resident_bytes();
+        meter.alloc(stitch_bytes);
         stats.plan_nanos = plan_start.elapsed_nanos();
         drop(plan_span);
         OOC_PLAN_NANOS.add(stats.plan_nanos);
@@ -359,21 +301,16 @@ impl Decomposer {
         })?);
 
         // --- phase 2: sequential shard walk --------------------------------
-        // Mirrors run_sharded_prepared's parallel fan-out: per-shard derived
-        // seeds over byte-identical shard CSRs give identical outcomes, and
+        // Mirrors run_sharded's parallel fan-out: per-shard derived seeds
+        // over byte-identical shard CSRs give identical outcomes, and
         // walking in index order reproduces the merge/ledger order.
         let walk_span = Span::enter("ooc.shard_walk");
         let walk_start = Stopwatch::start();
         let mut ledger = RoundLedger::new();
-        let mut budget_span = 0usize;
         let mut arboricity = 0usize;
         let mut leftover_edges = 0usize;
         let mut written = 0usize;
-        // Boundary vertex → its component representative in each shard color
-        // (indices `0..span_s`); colors the shard never cached map to the
-        // vertex itself, exactly like the dense stitch's missing-forest arm.
-        let mut reps: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (s, shard_boundary) in boundary_verts.iter().enumerate().take(k) {
+        for s in 0..k {
             let _shard_span = Span::enter("ooc.shard");
             let extracted = plan.extract_shard(&mapped, s);
             let shard_n = extracted.csr.num_vertices();
@@ -382,11 +319,12 @@ impl Decomposer {
                 4 * ((shard_n + 1) + 6 * shard_m) + 4 * extracted.global_edges.len();
             meter.alloc(extracted_bytes);
             let mut rng = SmallRng::seed_from_u64(derive_seed(request.seed, s as u64));
-            let outcome: ShardOutcome =
+            let mut outcome: ShardOutcome =
                 engine.decompose_shard(extracted.csr.view(), request, &mut rng)?;
-            // Outcome working set: the shard coloring plus the per-color
-            // union-finds (estimated; dropped at the end of this iteration).
-            let outcome_bytes = 4 * shard_m + 16 * outcome.color_span * shard_n;
+            // Outcome working set: the shard coloring, the per-color
+            // union-finds and the stitch's root scratch (estimated; dropped
+            // at the end of this iteration).
+            let outcome_bytes = 4 * shard_m + (16 * outcome.color_span + 4) * shard_n;
             meter.alloc(outcome_bytes);
             for (&global, &color) in extracted
                 .global_edges
@@ -398,22 +336,11 @@ impl Decomposer {
                 written += 1;
             }
             stats.spilled_coloring_bytes += 8 * extracted.global_edges.len() as u64;
-            let mut connectivity = outcome.connectivity;
-            for &gv in shard_boundary {
-                let local = plan.local_vertex(VertexId::new(gv as usize));
-                let per_color: Vec<u32> = (0..outcome.color_span)
-                    .map(|c| match connectivity.cached_forest(Color::new(c)) {
-                        Some(uf) => {
-                            let root = uf.find(local.index());
-                            plan.global_vertex(s, VertexId::new(root)).raw()
-                        }
-                        None => gv,
-                    })
-                    .collect();
-                meter.alloc(48 + 4 * per_color.len());
-                reps.insert(gv, per_color);
-            }
-            budget_span = budget_span.max(outcome.color_span);
+            stitch.absorb_shard(s, &mut outcome.connectivity, outcome.color_span, |v| {
+                plan.local_vertex(v)
+            });
+            meter.alloc(stitch.resident_bytes() - stitch_bytes);
+            stitch_bytes = stitch.resident_bytes();
             arboricity = arboricity.max(outcome.arboricity);
             leftover_edges += outcome.leftover_edges;
             ledger.absorb(&format!("shard {s}"), outcome.ledger);
@@ -428,96 +355,12 @@ impl Decomposer {
         OOC_DECOMPOSE_NANOS.add(stats.decompose_nanos);
 
         // --- phase 3: boundary stitch --------------------------------------
-        // The same two-phase rule as run_sharded_prepared, over sparse
-        // union-finds seeded from the recorded representatives. Shard
-        // forests are final, so representative lookups are read-only and
-        // the stitch forests grow only through the placements below —
-        // connectivity answers (hence colors) match the dense stitch.
         let stitch_span = Span::enter("ooc.stitch");
         let stitch_start = Stopwatch::start();
-        let mut boundary_colors: Vec<(u32, Color)> = Vec::with_capacity(boundary);
-        if boundary > 0 {
-            let mut stitch: Vec<SparseUf> = (0..budget_span).map(|_| SparseUf::default()).collect();
-            let rep = |reps: &HashMap<u32, Vec<u32>>, c: usize, v: VertexId| -> u32 {
-                let v = v.raw();
-                if c >= budget_span {
-                    return v;
-                }
-                reps.get(&v)
-                    .and_then(|per_color| per_color.get(c))
-                    .copied()
-                    .unwrap_or(v)
-            };
-            let place = |stitch: &mut Vec<SparseUf>,
-                         reps: &HashMap<u32, Vec<u32>>,
-                         e: EdgeId,
-                         total: usize|
-             -> Option<Color> {
-                let (u, v) = csr.endpoints(e);
-                for (c, uf) in stitch.iter_mut().enumerate().take(total) {
-                    let gu = rep(reps, c, u);
-                    let gv = rep(reps, c, v);
-                    if gu != gv && !uf.connected(gu, gv) {
-                        uf.union(gu, gv);
-                        return Some(Color::new(c));
-                    }
-                }
-                None
-            };
-            let mut stitched_fast = 0usize;
-            let mut remaining: Vec<EdgeId> = Vec::new();
-            for &e in &boundary_list {
-                match place(&mut stitch, &reps, e, budget_span) {
-                    Some(c) => {
-                        boundary_colors.push((e.raw(), c));
-                        written += 1;
-                        stitched_fast += 1;
-                    }
-                    None => remaining.push(e),
-                }
-            }
-            if stitched_fast > 0 {
-                ledger.charge(
-                    format!(
-                        "stitch {stitched_fast} of {boundary} boundary edges into existing \
-                         forests (single-step augmentations)"
-                    ),
-                    stitched_fast,
-                );
-            }
-            if !remaining.is_empty() {
-                leftover_edges += remaining.len();
-                let mut total_colors = budget_span;
-                for &e in &remaining {
-                    let c = match place(&mut stitch, &reps, e, total_colors) {
-                        Some(c) => c,
-                        None => {
-                            let fresh = Color::new(total_colors);
-                            total_colors += 1;
-                            stitch.push(SparseUf::default());
-                            let (u, v) = csr.endpoints(e);
-                            stitch[fresh.index()].union(u.raw(), v.raw());
-                            fresh
-                        }
-                    };
-                    boundary_colors.push((e.raw(), c));
-                    written += 1;
-                }
-                ledger.charge(
-                    format!(
-                        "stitch leftover ({} residue boundary edges recolored, {} fresh \
-                         colors beyond the shard budget)",
-                        remaining.len(),
-                        total_colors - budget_span
-                    ),
-                    remaining.len(),
-                );
-            }
-            meter.alloc(
-                stitch.iter().map(SparseUf::resident_bytes).sum::<usize>()
-                    + 8 * boundary_colors.len(),
-            );
-        }
+        let (boundary_colors, residue) = stitch.run(&csr, &boundary_list, &mut ledger);
+        leftover_edges += residue;
+        written += boundary_colors.len();
+        meter.alloc(stitch.resident_bytes() - stitch_bytes + 4 * boundary_colors.len());
         debug_assert_eq!(written, m, "every edge colored exactly once");
         stats.stitch_nanos = stitch_start.elapsed_nanos();
         drop(stitch_span);
@@ -528,9 +371,6 @@ impl Decomposer {
         // --- report assembly (after the bounded phases) --------------------
         let assemble_span = Span::enter("ooc.assemble");
         let assemble_start = Stopwatch::start();
-        let arboricity = request
-            .alpha
-            .unwrap_or_else(|| arboricity.max(forest_graph::matroid::arboricity_lower_bound(&csr)));
         let mut colors = vec![Color::new(0); m];
         let mut spill_in = BufReader::new(File::open(&spill_path).map_err(|err| {
             io_err(format!(
@@ -551,35 +391,19 @@ impl Decomposer {
                 }
             }
         }
-        for &(e, c) in &boundary_colors {
-            colors[e as usize] = c;
+        for (&e, c) in boundary_list.iter().zip(boundary_colors) {
+            colors[e.index()] = c;
         }
-        if request.sharding.stitch == StitchPolicy::ExactAlpha {
-            super::exact_alpha_stitch(&csr, &mut colors, arboricity, &mut ledger);
-        }
-        let decomposition = forest_graph::ForestDecomposition::from_colors(colors);
-        let num_colors = decomposition.num_colors_used();
-        let max_diameter = max_forest_diameter(&csr, &decomposition.to_partial());
         stats.report_assembly_bytes = 12 * m;
-        let mut report = DecompositionReport {
-            problem: request.problem,
-            engine: request.engine,
-            seed: request.seed,
-            num_edges: m,
-            artifact: Artifact::Decomposition(decomposition),
-            lists: None,
+        let report = stitch::finish(
+            &csr,
+            request,
+            colors,
             arboricity,
-            num_colors,
-            max_diameter,
             leftover_edges,
             ledger,
-            wall_clock: start.elapsed(),
-            validation: ValidationStatus::Skipped,
-        };
-        if request.validate {
-            report.validate(&csr)?;
-            report.validation = ValidationStatus::Validated;
-        }
+            start,
+        )?;
         stats.assemble_nanos = assemble_start.elapsed_nanos();
         drop(assemble_span);
         OOC_ASSEMBLE_NANOS.add(stats.assemble_nanos);
@@ -612,7 +436,7 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{DecompositionRequest, Engine};
+    use crate::api::{DecompositionRequest, Engine, StitchPolicy};
     use forest_graph::generators;
     use rand::rngs::StdRng;
 

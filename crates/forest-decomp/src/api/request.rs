@@ -152,22 +152,6 @@ pub struct ShardingSpec {
     pub stitch: StitchPolicy,
 }
 
-impl ShardingSpec {
-    /// A spec splitting along `reorder` (greedy stitch).
-    pub fn with_reorder(reorder: ReorderKind) -> Self {
-        ShardingSpec {
-            reorder,
-            ..ShardingSpec::default()
-        }
-    }
-
-    /// Sets the stitch policy.
-    pub fn with_stitch(mut self, stitch: StitchPolicy) -> Self {
-        self.stitch = stitch;
-        self
-    }
-}
-
 /// A complete, self-contained description of one decomposition run.
 ///
 /// Requests are plain data: build one with [`DecompositionRequest::new`] plus
@@ -259,12 +243,6 @@ impl DecompositionRequest {
     /// Sets the palette source for list problems.
     pub fn with_palettes(mut self, palettes: PaletteSpec) -> Self {
         self.palettes = palettes;
-        self
-    }
-
-    /// Sets how `run_sharded` cuts the graph into shards.
-    pub fn with_sharding(mut self, sharding: ShardingSpec) -> Self {
-        self.sharding = sharding;
         self
     }
 

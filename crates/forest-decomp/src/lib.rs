@@ -75,8 +75,8 @@
 //! Every end-to-end pipeline runs over a frozen
 //! [`CsrGraph`](forest_graph::CsrGraph): [`api::Decomposer::run`] freezes the
 //! input once per request and threads the `(MultiGraph, CsrRef)` pair
-//! through the engine phases, and [`api::Decomposer::run_batch_shared`]
-//! shares one [`api::FrozenGraph`] across a whole seed sweep. The CSR side
+//! through the engine phases, and a pre-frozen [`api::FrozenGraph`] skips
+//! the conversion across repeated requests. The CSR side
 //! is storage-generic ([`forest_graph::CsrStorage`]): engines consume a
 //! type-erased zero-copy [`CsrRef`](forest_graph::CsrRef), so the same code
 //! runs over owned arrays, an mmap-backed on-disk graph

@@ -74,7 +74,7 @@ proptest! {
                         .with_seed(seed),
                 );
                 let direct = decomposer.run(&g);
-                let via_frozen = decomposer.run_frozen(&frozen);
+                let via_frozen = decomposer.run(&frozen);
                 match (direct, via_frozen) {
                     (Ok(a), Ok(b)) => {
                         prop_assert!(
@@ -165,16 +165,16 @@ fn shared_topology_batch_matches_individual_runs() {
         3,
         &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3),
     );
-    let frozen = FrozenGraph::freeze(g);
+    let frozen = FrozenGraph::freeze(g.clone());
     let decomposer = Decomposer::new(
         DecompositionRequest::new(ProblemKind::Forest)
             .with_alpha(3)
             .with_seed(42),
     );
-    let batch = decomposer.run_batch_shared(&frozen, 4);
+    let batch = decomposer.run_batch(&vec![g; 4]);
     assert_eq!(batch.len(), 4);
     // Index 0 uses the request seed itself, so it equals a plain run.
-    let single = decomposer.run_frozen(&frozen).unwrap();
+    let single = decomposer.run(&frozen).unwrap();
     assert_eq!(
         batch[0].as_ref().unwrap().canonical_bytes(),
         single.canonical_bytes()

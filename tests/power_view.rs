@@ -198,7 +198,7 @@ fn sharded_hsv_virtual_path_smoke() {
             .with_alpha(3)
             .with_seed(17),
     );
-    let unsharded = d.run_frozen(&frozen).unwrap();
+    let unsharded = d.run(&frozen).unwrap();
     assert!(unsharded.num_colors > 0);
     for k in [2usize, 4] {
         let sharded = d.run_sharded(&frozen, k).unwrap();

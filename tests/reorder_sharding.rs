@@ -2,16 +2,19 @@
 //! permutations, a permuted run is equivalent to the unpermuted run modulo
 //! relabeling (edge ids round-trip untouched), sharded color counts stay
 //! within the Theorem 4.6-style budget and are non-increasing in locality,
-//! and the pre-split [`ShardedGraph`] path is byte-identical to the one-call
-//! `run_sharded` path.
+//! and the boundary stitch — shared by `run_sharded` and `run_out_of_core`
+//! — colors every boundary edge exactly as a whole-graph reference replay
+//! of the first-free-forest rule does.
 
 use forest_decomp::api::{
-    Decomposer, DecompositionRequest, Engine, FrozenGraph, ProblemKind, ReorderKind, ShardedGraph,
-    ShardingSpec, StitchPolicy, Validate,
+    Decomposer, DecompositionReport, DecompositionRequest, Engine, FrozenGraph, ProblemKind,
+    ReorderKind, StitchPolicy, Validate,
 };
 use forest_decomp::FdError;
 use forest_graph::reorder::{bfs_order, permute, rcm_order};
-use forest_graph::{generators, CsrGraph, GraphView, MultiGraph, VertexId};
+use forest_graph::{
+    generators, Color, CsrGraph, CsrPartition, EdgeId, GraphView, MultiGraph, UnionFind, VertexId,
+};
 use proptest::prelude::*;
 
 /// Strategy: a random multigraph with up to `max_n` vertices and `max_m`
@@ -30,8 +33,87 @@ fn arb_multigraph(max_n: usize, max_m: usize) -> impl Strategy<Value = MultiGrap
     })
 }
 
+/// The greedy stitch rule, replayed over whole-graph union-finds: seeds one
+/// forest per color with the report's colors on internal edges, then
+/// checks that every boundary edge placed in the first pass carries the
+/// first in-budget color whose forest keeps its endpoints apart, and that
+/// the residue carries the first such color among all colors opened so far
+/// or else the next fresh one.
+fn assert_stitch_matches_reference(
+    g: &MultiGraph,
+    partition: &CsrPartition,
+    report: &DecompositionReport,
+) {
+    let colors = report.artifact.decomposition().unwrap().colors();
+    let boundary = partition.boundary_edges();
+    let is_boundary = |e: usize| boundary.binary_search(&EdgeId::new(e)).is_ok();
+    let internal = (0..colors.len()).filter(|&e| !is_boundary(e));
+    let budget = internal
+        .clone()
+        .map(|e| colors[e].index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut forests: Vec<UnionFind> = (0..budget)
+        .map(|_| UnionFind::new(g.num_vertices()))
+        .collect();
+    for e in internal {
+        let (u, v) = g.endpoints(EdgeId::new(e));
+        forests[colors[e].index()].union(u.index(), v.index());
+    }
+    let first_free = |forests: &mut Vec<UnionFind>, e: EdgeId| {
+        let (u, v) = g.endpoints(e);
+        forests
+            .iter_mut()
+            .position(|uf| uf.union(u.index(), v.index()))
+    };
+    let mut residue = Vec::new();
+    for &e in boundary {
+        match first_free(&mut forests, e) {
+            Some(c) => assert_eq!(colors[e.index()], Color::new(c), "first pass, edge {e}"),
+            None => residue.push(e),
+        }
+    }
+    for e in residue {
+        let c = first_free(&mut forests, e).unwrap_or_else(|| {
+            let (u, v) = g.endpoints(e);
+            let mut fresh = UnionFind::new(g.num_vertices());
+            fresh.union(u.index(), v.index());
+            forests.push(fresh);
+            forests.len() - 1
+        });
+        assert_eq!(colors[e.index()], Color::new(c), "residue, edge {e}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The shared stitch against the whole-graph reference replay, over
+    /// identity and RCM splits, `k ∈ {2, 3, 5}` and both forest engines
+    /// that shard.
+    #[test]
+    fn stitch_matches_whole_graph_reference(g in arb_multigraph(32, 100)) {
+        let csr = CsrGraph::from_multigraph(&g);
+        for reorder in [ReorderKind::Identity, ReorderKind::Rcm] {
+            for k in [2usize, 3, 5] {
+                let partition = match reorder.order(&csr) {
+                    None => CsrPartition::split(&csr, k),
+                    Some(perm) => CsrPartition::split_ordered(&csr, k, &perm),
+                };
+                for engine in [Engine::HarrisSuVu, Engine::ExactMatroid] {
+                    let report = Decomposer::new(
+                        DecompositionRequest::new(ProblemKind::Forest)
+                            .with_engine(engine)
+                            .with_seed(5)
+                            .with_shard_reorder(reorder),
+                    )
+                    .run_sharded(&g, k)
+                    .unwrap();
+                    assert_stitch_matches_reference(&g, &partition, &report);
+                }
+            }
+        }
+    }
 
     /// BFS and RCM orders are valid permutations: every vertex appears at
     /// exactly one position, and the two directions invert each other.
@@ -120,23 +202,21 @@ fn sharded_colors_bounded_and_non_increasing_in_locality() {
         .with_alpha(alpha)
         .with_seed(17);
     for k in [2usize, 4] {
-        let identity = ShardedGraph::split(
-            &frozen,
-            k,
-            ShardingSpec::with_reorder(ReorderKind::Identity),
-        )
-        .unwrap();
-        let rcm =
-            ShardedGraph::split(&frozen, k, ShardingSpec::with_reorder(ReorderKind::Rcm)).unwrap();
+        let identity = CsrPartition::split(frozen.csr(), k);
+        let rcm = CsrPartition::split_ordered(frozen.csr(), k, &rcm_order(frozen.csr()));
         assert!(
-            rcm.partition().boundary_fraction() < identity.partition().boundary_fraction(),
+            rcm.boundary_fraction() < identity.boundary_fraction(),
             "k = {k}: rcm boundary fraction {} must beat identity {}",
-            rcm.partition().boundary_fraction(),
-            identity.partition().boundary_fraction()
+            rcm.boundary_fraction(),
+            identity.boundary_fraction()
         );
-        let decomposer = Decomposer::new(base.clone());
-        let identity_report = decomposer.run_sharded_prepared(&identity).unwrap();
-        let rcm_report = decomposer.run_sharded_prepared(&rcm).unwrap();
+        let identity_report =
+            Decomposer::new(base.clone().with_shard_reorder(ReorderKind::Identity))
+                .run_sharded(&frozen, k)
+                .unwrap();
+        let rcm_report = Decomposer::new(base.clone().with_shard_reorder(ReorderKind::Rcm))
+            .run_sharded(&frozen, k)
+            .unwrap();
         identity_report.validate(frozen.graph()).unwrap();
         rcm_report.validate(frozen.graph()).unwrap();
         assert!(
@@ -150,28 +230,6 @@ fn sharded_colors_bounded_and_non_increasing_in_locality() {
             rcm_report.num_colors,
             identity_report.num_colors
         );
-    }
-}
-
-/// The pre-split path is the one-call path: `run_sharded_prepared` over a
-/// `ShardedGraph` built with the request's spec produces byte-identical
-/// reports to `run_sharded`.
-#[test]
-fn prepared_sharded_runs_match_one_call_runs() {
-    let g = generators::grid(20, 14);
-    let frozen = FrozenGraph::freeze(g);
-    for reorder in [ReorderKind::Identity, ReorderKind::Rcm] {
-        let decomposer = Decomposer::new(
-            DecompositionRequest::new(ProblemKind::Forest)
-                .with_engine(Engine::ExactMatroid)
-                .with_seed(9)
-                .with_shard_reorder(reorder),
-        );
-        let sharded = ShardedGraph::split(&frozen, 3, ShardingSpec::with_reorder(reorder)).unwrap();
-        assert_eq!(sharded.reorder(), reorder);
-        let prepared = decomposer.run_sharded_prepared(&sharded).unwrap();
-        let one_call = decomposer.run_sharded(&frozen, 3).unwrap();
-        assert_eq!(prepared.canonical_bytes(), one_call.canonical_bytes());
     }
 }
 
@@ -254,9 +312,8 @@ fn exact_alpha_stitch_composes_with_reordering() {
     assert_eq!(exact.num_colors, alpha, "planted α is reachable");
 }
 
-/// Zero shards is a typed facade error on both front doors, while the
-/// low-level splitter keeps its documented clamp (covered in
-/// `forest_graph`'s partition tests).
+/// Zero shards is a typed facade error, while the low-level splitter keeps
+/// its documented clamp (covered in `forest_graph`'s partition tests).
 #[test]
 fn zero_shards_is_a_typed_error() {
     let g = generators::path(8);
@@ -265,10 +322,6 @@ fn zero_shards_is_a_typed_error() {
     );
     assert!(matches!(
         decomposer.run_sharded(&g, 0),
-        Err(FdError::InvalidShardCount { requested: 0 })
-    ));
-    assert!(matches!(
-        ShardedGraph::split(&g, 0, ShardingSpec::default()),
         Err(FdError::InvalidShardCount { requested: 0 })
     ));
 }
